@@ -62,6 +62,12 @@ type idxShard struct {
 type Cache struct {
 	pager  *upager.Pager
 	shards [indexShards]idxShard
+	// cells orders the value copies on one heap page: Set writes a cell
+	// under the write lock, Get reads one under the read lock. A Get on
+	// a stale entry can be reading a cell that a steal just handed to a
+	// Set; it discards those bytes on revalidation, but the copies must
+	// still not overlap.
+	cells [indexShards]sync.RWMutex
 
 	// Slab allocator state. Lock order: alloc.mu and a shard mu are
 	// never held together except in steal, which holds neither across
@@ -207,7 +213,10 @@ func (c *Cache) Set(key string, val []byte) error {
 		c.freeSlot(cls, s)
 		return err
 	}
+	cell := &c.cells[s.pg%indexShards]
+	cell.Lock()
 	copy(fr.Data[s.off:int(s.off)+len(val)], val)
+	cell.Unlock()
 	fr.Unpin()
 
 	e := entry{pg: s.pg, off: s.off, ln: uint16(len(val)), cls: uint8(cls), set: true}
@@ -244,7 +253,10 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 			return nil, false, err
 		}
 		out := make([]byte, e.ln)
+		cell := &c.cells[e.pg%indexShards]
+		cell.RLock()
 		copy(out, fr.Data[e.off:uint32(e.off)+uint32(e.ln)])
+		cell.RUnlock()
 		fr.Unpin()
 		sh.mu.Lock()
 		e2, ok2 := sh.m[key]

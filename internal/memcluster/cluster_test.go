@@ -443,9 +443,17 @@ func TestClusterStartsWithDeadReplica(t *testing.T) {
 // TestClusterRebalance grows a 2-shard cluster by one shard under a
 // live writer, then shrinks it back, verifying the data survives both
 // migrations byte-for-byte and that the join moved a bounded slice of
-// pages rather than reshuffling everything.
+// pages rather than reshuffling everything. The 2x2 case gives every
+// destination shard, the joined one included, two replicas to fill.
 func TestClusterRebalance(t *testing.T) {
-	_, addrs := startServers(t, 2, 1)
+	for _, replicas := range []int{1, 2} {
+		replicas := replicas
+		t.Run(fmt.Sprintf("2x%d", replicas), func(t *testing.T) { testRebalance(t, replicas) })
+	}
+}
+
+func testRebalance(t *testing.T, replicas int) {
+	srvs, addrs := startServers(t, 2, replicas)
 	cl, err := memcluster.New(addrs, testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -483,13 +491,15 @@ func TestClusterRebalance(t *testing.T) {
 		}
 	}()
 
-	joinSrv, err := memnode.NewServer("127.0.0.1:0", 64<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer joinSrv.Close()
-	if err := cl.AddShard([]string{joinSrv.Addr()}); err != nil {
+	joinSrvs, joinAddrs := startServers(t, 1, replicas)
+	if err := cl.AddShard(joinAddrs[0]); err != nil {
 		t.Fatalf("AddShard: %v", err)
+	}
+	if replicas > 1 {
+		// Every joined replica got the moved pages: with the first one
+		// killed, the second alone serves the joined shard's pages below,
+		// and is the only source when they move home again.
+		joinSrvs[0][0].Close()
 	}
 	close(stop)
 	writerWG.Wait()
@@ -538,6 +548,13 @@ func TestClusterRebalance(t *testing.T) {
 		t.Fatalf("shards = %d after leave, want 2", got)
 	}
 	checkAll(t, cl, h, 4)
+	if replicas > 1 {
+		// The pages that came home went to every replica of their new
+		// owner, not only the first: the second replicas alone serve them.
+		srvs[0][0].Close()
+		srvs[1][0].Close()
+		checkAll(t, cl, h, 4)
+	}
 }
 
 // TestClusterCloseReleasesGoroutines guards the prober and per-node

@@ -5,29 +5,26 @@
 // load signal (in-flight depth); replicas that stop answering are
 // demoted. Down replicas are re-probed with exponential backoff, and
 // a replica that answers again is re-admitted only after resync —
-// copying every page its shard owns back from a surviving peer — so a
-// node that restarted (and lost its regions) or merely missed writes
-// never serves stale pages.
+// copying every page its shard owns back from a current peer with the
+// page mover (mover.go) — so a node that restarted (and lost its
+// regions) or merely missed writes never serves stale pages.
 //
-// Resync correctness leans on two mechanisms: the write path logs the
-// key of every completed write to a resyncing shard (the dirty log),
-// and the final settle pass runs under the cluster's topology write
-// lock, which drains all in-flight ops. Every write therefore either
-// lands before the bulk copy reads the page, or is in the dirty log
-// when the final pass copies it — a missed write is impossible. That
-// includes regions registered after the resync began: their writes are
-// dirty-logged like any other, and the settle passes resolve dirty
-// keys against the live region table (registering the region on the
-// target if its own Register attempt missed it), never against the
-// bulk copy's snapshot. Unwritten pages of such regions are zero on
-// every replica, so the dirty set is exactly what needs copying.
+// Resync correctness leans on three mechanisms: the write path logs the
+// key of every completed write to a resyncing shard (the dirty log);
+// the final settle pass runs under the cluster's topology write lock,
+// which drains all in-flight ops; and that final pass admits nothing
+// while a migration is in flight, because a migration picks its copy
+// targets among healthy replicas and never dirty-logs its own copies.
+// Every write therefore either lands before the bulk copy reads the
+// page, or is in the dirty log when the final pass copies it. Regions
+// registered after the resync began are copied in full by the settle
+// passes, which read the live region table rather than the bulk
+// copy's snapshot.
 package memcluster
 
 import (
-	"errors"
 	"time"
 
-	"mage/internal/memcluster/placement"
 	"mage/internal/memnode"
 )
 
@@ -136,7 +133,7 @@ func (cl *Cluster) bumpProbeBackoff(sh *shard, r *replica) {
 	r.nextProbe = time.Now().Add(r.probeBackoff) //magevet:ok probe-backoff schedule on a real network client
 }
 
-// resyncBatchPages bounds one resync copy batch: MaxBatchPages or
+// resyncBatchPages bounds one mover batch: MaxBatchPages or
 // whatever number of full pages fits MaxIO, whichever is smaller.
 func (cl *Cluster) resyncBatchPages() int {
 	n := int(int64(memnode.MaxIO) / cl.opts.PageBytes)
@@ -149,10 +146,10 @@ func (cl *Cluster) resyncBatchPages() int {
 	return n
 }
 
-// readmit brings a down-but-answering replica back: register any
-// regions it is missing, bulk-copy every page its shard owns from a
-// surviving peer, settle writes that raced the copy, and flip it
-// healthy under the drained topology lock.
+// readmit brings a down-but-answering replica back: copy every page
+// its shard owns from a current peer (registering regions the node
+// lacks), settle writes that raced the copy, and flip it healthy under
+// the drained topology lock.
 func (cl *Cluster) readmit(sh *shard, r *replica) error {
 	cl.topoMu.RLock()
 	topo := cl.topo
@@ -188,31 +185,9 @@ func (cl *Cluster) readmit(sh *shard, r *replica) error {
 		cl.topoMu.RUnlock()
 		return err
 	}
-	// Register missing regions first (the node may have restarted and
-	// lost everything it knew).
-	cl.regMu.Lock()
-	regs := make(map[uint64]*cregion, len(cl.regions))
-	for h, reg := range cl.regions { //magevet:ok snapshot clone of the region table; order cannot affect the result
-		regs[h] = reg
-	}
-	cl.regMu.Unlock()
-	for _, reg := range regs { //magevet:ok registrations are independent; order cannot affect the result
-		if _, ok := reg.handle(r); ok {
-			continue
-		}
-		h, err := r.c.Register(reg.size)
-		if err != nil {
-			return abort(err)
-		}
-		cl.regMu.Lock()
-		reg.setHandle(r, h)
-		cl.regMu.Unlock()
-	}
-	// Bulk copy: every page this shard owns, batched.
-	for handle, reg := range regs { //magevet:ok regions copy independently; order cannot affect the result
-		if err := cl.copyOwnedPages(topo, si, sh, r, handle, reg); err != nil {
-			return abort(err)
-		}
+	m := cl.resyncMover(topo, si, r)
+	if err := m.bulk(); err != nil {
+		return abort(err)
 	}
 	// Settle rounds: re-copy pages written during the bulk copy. Each
 	// round shrinks the window; the final round runs under the topology
@@ -222,10 +197,13 @@ func (cl *Cluster) readmit(sh *shard, r *replica) error {
 		if final {
 			cl.topoMu.RUnlock()
 			cl.topoMu.Lock()
-			if cl.topo != topo {
-				// Topology changed while we waited for the write lock; the
-				// new topology may not own the same pages. Stay down and let
-				// the next probe restart the resync from scratch.
+			if cl.topo != topo || cl.migOn.Load() {
+				// The topology changed while we waited for the write lock,
+				// so the shard may no longer own the pages copied; or a
+				// migration is mid-copy, and it chose its targets while this
+				// replica was down, so the pages it moves here would never
+				// reach it. Stay down and let the next probe resync against
+				// whatever topology is current then.
 				cl.topoMu.Unlock()
 				closeResync(sh, r)
 				return nil
@@ -236,7 +214,7 @@ func (cl *Cluster) readmit(sh *shard, r *replica) error {
 			round = 2 // nothing raced this round; jump to the final pass
 			continue
 		}
-		err := cl.copyDirty(si, sh, r, dirty)
+		err := m.settle(dirty)
 		if !final {
 			if err != nil {
 				return abort(err)
@@ -293,191 +271,4 @@ func (cl *Cluster) admitReplica(sh *shard, r *replica) {
 	sh.mu.Unlock()
 	sh.resyncCount.Add(-1)
 	cl.stats.readmissions.Add(1)
-}
-
-// copyOwnedPages bulk-copies every page of region handle owned by
-// shard si from a surviving replica to the resync target r.
-func (cl *Cluster) copyOwnedPages(topo *topology, si int, sh *shard, r *replica, handle uint64, reg *cregion) error {
-	pb := cl.opts.PageBytes
-	npages := (reg.size + pb - 1) / pb
-	batchMax := cl.resyncBatchPages()
-	offs := make([]int64, 0, batchMax)
-	for p := int64(0); p < npages; p++ {
-		key := placement.Key(handle, uint64(p))
-		if placement.ShardOfIDs(key, topo.ids) != si {
-			continue
-		}
-		if (p+1)*pb > reg.size {
-			// Tail partial page: copy individually.
-			if err := cl.copyPage(sh, si, r, reg, p*pb, reg.size-p*pb); err != nil {
-				return err
-			}
-			continue
-		}
-		offs = append(offs, p*pb)
-		if len(offs) == batchMax {
-			if err := cl.copyBatch(sh, si, r, reg, offs, pb); err != nil {
-				return err
-			}
-			offs = offs[:0]
-		}
-	}
-	if len(offs) > 0 {
-		return cl.copyBatch(sh, si, r, reg, offs, pb)
-	}
-	return nil
-}
-
-// copyBatch moves one READV-worth of full pages from a surviving peer
-// to the resync target.
-func (cl *Cluster) copyBatch(sh *shard, si int, target *replica, reg *cregion, offs []int64, pageBytes int64) error {
-	bodies, err := cl.readVShardExcluding(reg, sh, si, target, offs, pageBytes)
-	if err != nil {
-		return err
-	}
-	th, ok := reg.handle(target)
-	if !ok {
-		freeBodies(bodies)
-		return errAllReplicasFailed(si, errors.New("resync target lost its region handle"))
-	}
-	err = target.c.WriteV(th, offs, bodies)
-	freeBodies(bodies)
-	if err != nil {
-		return err
-	}
-	cl.stats.rebalancedPages.Add(uint64(len(offs)))
-	return nil
-}
-
-func freeBodies(bodies [][]byte) {
-	for _, b := range bodies {
-		memnode.PutBuf(b)
-	}
-}
-
-// copyPage moves one (possibly partial) page from a surviving peer to
-// the resync target.
-func (cl *Cluster) copyPage(sh *shard, si int, target *replica, reg *cregion, off, length int64) error {
-	body, err := cl.readOneExcluding(reg, sh, si, target, off, length)
-	if err != nil {
-		return err
-	}
-	th, ok := reg.handle(target)
-	if !ok {
-		memnode.PutBuf(body)
-		return errAllReplicasFailed(si, errors.New("resync target lost its region handle"))
-	}
-	err = target.c.Write(th, off, body)
-	memnode.PutBuf(body)
-	if err != nil {
-		return err
-	}
-	cl.stats.rebalancedPages.Add(1)
-	return nil
-}
-
-// copyDirty re-copies the pages in one settle round's dirty set.
-// Dirty keys resolve against the live region table, not the bulk
-// copy's snapshot: a write to a region registered after the resync
-// began goes only to healthy replicas, so skipping its key here would
-// leave the target serving zero-filled pages after admission.
-func (cl *Cluster) copyDirty(si int, sh *shard, r *replica, dirty map[uint64]struct{}) error {
-	pb := cl.opts.PageBytes
-	for key := range dirty { //magevet:ok settle-pass copy set: each page is copied exactly once; order cannot matter
-		handle := key >> placement.KeyPageBits
-		pageNo := int64(key & (1<<placement.KeyPageBits - 1))
-		cl.regMu.Lock()
-		reg := cl.regions[handle]
-		cl.regMu.Unlock()
-		if reg == nil {
-			// No live region for the key (cannot happen today — there is
-			// no unregister verb — but a missing entry means there is no
-			// page to copy).
-			continue
-		}
-		if _, ok := reg.handle(r); !ok {
-			// The region appeared after readmit's own register pass, and
-			// the concurrent Register failed to reach this replica.
-			// Create it on the target now so the dirty copy can land.
-			h, err := r.c.Register(reg.size)
-			if err != nil {
-				return err
-			}
-			cl.regMu.Lock()
-			reg.setHandle(r, h)
-			cl.regMu.Unlock()
-		}
-		off := pageNo * pb
-		length := pb
-		if off > reg.size-length { // overflow-safe form of off+length > reg.size
-			length = reg.size - off
-		}
-		if length <= 0 {
-			continue
-		}
-		if err := cl.copyPage(sh, si, r, reg, off, length); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readVShardExcluding is readVShard with one replica (the resync
-// target — its data is the stale data being replaced) removed from
-// the source set. A resync source must be current, not merely alive,
-// so there is no degraded tail here.
-func (cl *Cluster) readVShardExcluding(reg *cregion, sh *shard, shardIdx int, exclude *replica, offs []int64, pageBytes int64) ([][]byte, error) {
-	reps, _, healthy := snapshotReplicas(sh)
-	var lastErr error
-	for i, r := range reps {
-		if r == exclude || !healthy[i] {
-			continue
-		}
-		h, ok := reg.handle(r)
-		if !ok {
-			continue
-		}
-		bodies, err := r.c.ReadV(h, offs, pageBytes)
-		if err == nil {
-			return bodies, nil
-		}
-		if memnode.IsTerminal(err) {
-			return nil, err
-		}
-		cl.markDown(sh, r, true)
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no healthy resync source")
-	}
-	return nil, errAllReplicasFailed(shardIdx, lastErr)
-}
-
-// readOneExcluding mirrors readOne minus the excluded replica and the
-// degraded tail.
-func (cl *Cluster) readOneExcluding(reg *cregion, sh *shard, shardIdx int, exclude *replica, off, length int64) ([]byte, error) {
-	reps, _, healthy := snapshotReplicas(sh)
-	var lastErr error
-	for i, r := range reps {
-		if r == exclude || !healthy[i] {
-			continue
-		}
-		h, ok := reg.handle(r)
-		if !ok {
-			continue
-		}
-		body, err := r.c.Read(h, off, length)
-		if err == nil {
-			return body, nil
-		}
-		if memnode.IsTerminal(err) {
-			return nil, err
-		}
-		cl.markDown(sh, r, true)
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no healthy resync source")
-	}
-	return nil, errAllReplicasFailed(shardIdx, lastErr)
 }

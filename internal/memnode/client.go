@@ -33,16 +33,11 @@ type Options struct {
 	// multiplexed connection (default 128). Ops beyond the window queue
 	// at the client instead of on the wire.
 	Window int
-	// Protocol pins the wire protocol: 1 forces v1 stop-and-wait (no
-	// HELLO is sent); any other value negotiates v2 with transparent
-	// fallback to v1 when the server predates it.
-	Protocol int
 	// Transport selects the data plane. TransportAuto (the default)
 	// takes the shared-memory ring transport whenever the server
 	// advertises it and the platform supports it, falling back to TCP
 	// transparently; TransportTCP pins TCP; TransportShm requires shm
-	// and fails ops when it cannot be negotiated. Forcing Protocol to
-	// v1 implies TransportTCP.
+	// and fails ops when it cannot be negotiated.
 	Transport int
 }
 
@@ -63,7 +58,6 @@ func DefaultOptions() Options {
 		BaseBackoff: 20 * time.Millisecond,
 		MaxBackoff:  time.Second,
 		Window:      128,
-		Protocol:    protoV2,
 	}
 }
 
@@ -87,14 +81,8 @@ func (o *Options) fillDefaults() {
 	if o.Window <= 0 {
 		o.Window = d.Window
 	}
-	if o.Protocol != protoV1 {
-		o.Protocol = protoV2
-	}
 	if o.Transport != TransportTCP && o.Transport != TransportShm {
 		o.Transport = TransportAuto
-	}
-	if o.Protocol == protoV1 {
-		o.Transport = TransportTCP
 	}
 }
 
@@ -110,9 +98,6 @@ type ClientStats struct {
 	RegionReplays uint64
 	// Timeouts counts stream failures caused by an expired deadline.
 	Timeouts uint64
-	// V1Fallbacks counts connections negotiated down to the v1
-	// stop-and-wait protocol because the server rejected the HELLO.
-	V1Fallbacks uint64
 	// ShmConnects counts successful shared-memory transport
 	// negotiations (segment mapped, rings live).
 	ShmConnects uint64
@@ -185,11 +170,7 @@ type call struct {
 	offset int64
 	length int64       // wire length field (payload bytes, read size, or region size)
 	bufs   net.Buffers // request payload vectors (nil for READ/STAT/REGISTER)
-
-	// Batch shape, kept so the v1 fallback can decompose the batch into
-	// single-page ops with identical semantics.
-	iovs  []iovec
-	pages [][]byte
+	iovs   []iovec     // READV descriptors; the shm stream sizes the response extent from them
 
 	id       uint64
 	deadline time.Time
@@ -290,7 +271,7 @@ func (ca *call) resetGate() {
 }
 
 // link is one negotiated connection generation, whatever its data
-// plane: a TCP stream (v1 or v2) or a shared-memory ring stream. The
+// plane: a TCP stream or a shared-memory ring stream. The
 // retry/reconnect/replay stack in do() is transport-agnostic above
 // this interface.
 type link interface {
@@ -301,9 +282,6 @@ type link interface {
 	alive() bool
 	// fail poisons the link exactly once, failing all pending calls.
 	fail(err error)
-	// decomposeBatch reports whether batch verbs must be decomposed
-	// into single-page ops client-side (true only for v1 streams).
-	decomposeBatch() bool
 	// exclusiveCall reports whether exec holds the only references to
 	// its call struct once it returns. TCP streams return false: a
 	// poisoned stream's writer may still be draining the old send queue
@@ -315,18 +293,14 @@ type link interface {
 	exclusiveCall() bool
 }
 
-// stream is one live connection generation. A v2 stream runs a writer
-// goroutine (draining sendq, one writev per frame) and a reader
-// goroutine (matching response frames to pending calls by ID); a v1
-// stream degenerates to mutex-serialized stop-and-wait on the same
-// struct. Any IO or protocol error poisons the whole stream: every
-// pending call fails at once and the client re-dials lazily.
+// stream is one live TCP connection generation: a writer goroutine
+// (draining sendq, one writev per frame) and a reader goroutine
+// (matching response frames to pending calls by ID). Any IO or
+// protocol error poisons the whole stream: every pending call fails at
+// once and the client re-dials lazily.
 type stream struct {
 	c    *Client
 	conn net.Conn
-	v1   bool
-
-	v1mu sync.Mutex // serializes stop-and-wait exchanges on a v1 connection
 
 	sendq chan *call
 	dead  chan struct{}
@@ -337,27 +311,20 @@ type stream struct {
 	idSrc   uint64 // last request ID issued; under pmu
 }
 
-func newStream(c *Client, conn net.Conn, v1 bool) *stream {
+func newStream(c *Client, conn net.Conn) *stream {
 	s := &stream{
 		c:       c,
 		conn:    conn,
-		v1:      v1,
+		sendq:   make(chan *call, c.opts.Window+8),
 		dead:    make(chan struct{}),
 		pending: make(map[uint64]*call),
 	}
-	if !v1 {
-		s.sendq = make(chan *call, c.opts.Window+8)
-		go s.writeLoop() //magevet:ok real TCP client: one writer goroutine per pipelined connection
-		go s.readLoop()  //magevet:ok real TCP client: one reader/demux goroutine per pipelined connection
-	}
+	go s.writeLoop() //magevet:ok real TCP client: one writer goroutine per pipelined connection
+	go s.readLoop()  //magevet:ok real TCP client: one reader/demux goroutine per pipelined connection
 	return s
 }
 
-// decomposeBatch reports whether this stream needs client-side batch
-// decomposition (only the v1 stop-and-wait protocol does).
-func (s *stream) decomposeBatch() bool { return s.v1 }
-
-// exclusiveCall: false — the v2 writer goroutine may still touch a
+// exclusiveCall: false — the writer goroutine may still touch a
 // queued call struct after the stream is poisoned.
 func (s *stream) exclusiveCall() bool { return false }
 
@@ -399,9 +366,6 @@ func (s *stream) fail(err error) {
 func (s *stream) exec(ca *call) ([]byte, error) {
 	ca.body, ca.err = nil, nil
 	ca.deadline = time.Now().Add(s.c.opts.IOTimeout) //magevet:ok per-op network deadline
-	if s.v1 {
-		return s.execV1(ca)
-	}
 	ca.resetGate()
 	s.pmu.Lock()
 	if s.err != nil {
@@ -565,72 +529,8 @@ func (s *stream) readLoop() {
 	}
 }
 
-// execV1 performs one stop-and-wait exchange on a v1 connection. The
-// stream mutex serializes concurrent callers; the rest of the
-// robustness machinery (deadline, poison-on-error) matches v2.
-func (s *stream) execV1(ca *call) ([]byte, error) {
-	s.v1mu.Lock()
-	defer s.v1mu.Unlock()
-	s.pmu.Lock()
-	if s.err != nil {
-		err := s.err
-		s.pmu.Unlock()
-		return nil, err
-	}
-	s.pmu.Unlock()
-	if err := s.conn.SetDeadline(ca.deadline); err != nil {
-		s.fail(err)
-		return nil, err
-	}
-	var hdr [v1ReqHdrLen]byte
-	hdr[0] = ca.op
-	binary.LittleEndian.PutUint64(hdr[1:], ca.srvID)
-	binary.LittleEndian.PutUint64(hdr[9:], uint64(ca.offset))
-	binary.LittleEndian.PutUint64(hdr[17:], uint64(ca.length))
-	iov := append(net.Buffers{hdr[:]}, ca.bufs...)
-	//magevet:ok v1 is stop-and-wait by design: v1mu held across the exchange IS the depth-1 pipeline
-	if _, err := iov.WriteTo(s.conn); err != nil {
-		s.fail(err)
-		return nil, err
-	}
-	var rhdr [v1RespHdrLen]byte
-	//magevet:ok v1 stop-and-wait response read; see the WriteTo above
-	if _, err := io.ReadFull(s.conn, rhdr[:]); err != nil {
-		s.fail(err)
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint64(rhdr[1:])
-	if n > MaxIO {
-		err := fmt.Errorf("memnode: oversized response %d", n)
-		s.fail(err)
-		return nil, err
-	}
-	var body []byte
-	if n > 0 {
-		body = getBuf(int(n))
-		//magevet:ok v1 stop-and-wait body read; see the WriteTo above
-		if _, err := io.ReadFull(s.conn, body); err != nil {
-			PutBuf(body)
-			s.fail(err)
-			return nil, err
-		}
-	}
-	switch rhdr[0] {
-	case statusOK:
-		return body, nil
-	case statusErrRegion:
-		err := fmt.Errorf("%w: %s", errRegionLost, body)
-		PutBuf(body)
-		return nil, err
-	default:
-		err := &serverError{msg: string(body)}
-		PutBuf(body)
-		return nil, err
-	}
-}
-
 // Client is one connection to a memory node, hardened for the real
-// world and pipelined for throughput: a v2 connection multiplexes up to
+// world and pipelined for throughput: a connection multiplexes up to
 // Options.Window concurrent requests by ID, every op has a deadline, a
 // broken connection fails all in-flight calls at once and is re-dialed
 // with capped exponential backoff, and idempotent ops are retried
@@ -665,7 +565,6 @@ type Client struct {
 	reconnects    atomic.Uint64
 	regionReplays atomic.Uint64
 	timeouts      atomic.Uint64
-	v1Fallbacks   atomic.Uint64
 	shmConnects   atomic.Uint64
 	shmFallbacks  atomic.Uint64
 
@@ -748,7 +647,6 @@ func (c *Client) Metrics() ClientStats {
 		Reconnects:    c.reconnects.Load(),
 		RegionReplays: c.regionReplays.Load(),
 		Timeouts:      c.timeouts.Load(),
-		V1Fallbacks:   c.v1Fallbacks.Load(),
 		ShmConnects:   c.shmConnects.Load(),
 		ShmFallbacks:  c.shmFallbacks.Load(),
 		Read:          c.verbStats(opRead),
@@ -760,18 +658,15 @@ func (c *Client) Metrics() ClientStats {
 }
 
 // TransportKind reports the data plane of the current connection
-// generation: "shm", "tcp-v2", "tcp-v1", or "none" when no connection
-// has been negotiated yet.
+// generation: "shm", "tcp-v2", or "none" when no connection has been
+// negotiated yet.
 func (c *Client) TransportKind() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch st := c.cur.(type) {
+	switch c.cur.(type) {
 	case *shmStream:
 		return "shm"
 	case *stream:
-		if st.v1 {
-			return "tcp-v1"
-		}
 		return "tcp-v2"
 	}
 	return "none"
@@ -880,20 +775,18 @@ func (c *Client) getStream() (link, error) {
 	}
 }
 
-// negotiate upgrades a fresh connection to protocol v2 — and, when the
-// server's HELLO response advertises it and Options.Transport allows,
-// to the shared-memory transport — or falls back to v1 when the server
-// rejects the HELLO. On IO error the connection is closed and the
-// error returned; the caller's retry loop re-dials.
+// negotiate opens a fresh connection with the HELLO and, when the
+// server's response advertises it and Options.Transport allows,
+// upgrades it to the shared-memory transport. A server that refuses
+// the HELLO closes the connection; the refusal is returned like any
+// other dial failure. On error the connection is closed and the
+// caller's retry loop re-dials.
 func (c *Client) negotiate(conn net.Conn) (link, error) {
-	if c.opts.Protocol == protoV1 {
-		return newStream(c, conn, true), nil
-	}
 	if err := conn.SetDeadline(time.Now().Add(c.opts.IOTimeout)); err != nil { //magevet:ok per-op network deadline
 		_ = conn.Close() // already failing; the dial error wins
 		return nil, err
 	}
-	var hdr [v1ReqHdrLen]byte
+	var hdr [helloReqLen]byte
 	hdr[0] = opHello
 	binary.LittleEndian.PutUint64(hdr[1:], helloMagic)
 	binary.LittleEndian.PutUint64(hdr[9:], protoV2)
@@ -901,7 +794,7 @@ func (c *Client) negotiate(conn net.Conn) (link, error) {
 		_ = conn.Close() // already failing; the write error wins
 		return nil, err
 	}
-	var rhdr [v1RespHdrLen]byte
+	var rhdr [helloRespHdrLen]byte
 	if _, err := io.ReadFull(conn, rhdr[:]); err != nil {
 		_ = conn.Close() // already failing; the read error wins
 		return nil, err
@@ -916,51 +809,43 @@ func (c *Client) negotiate(conn net.Conn) (link, error) {
 		_ = conn.Close() // already failing; the read error wins
 		return nil, err
 	}
-	if rhdr[0] == statusOK {
-		if len(body) >= helloRespLen &&
-			binary.LittleEndian.Uint64(body) == helloMagic &&
-			binary.LittleEndian.Uint64(body[8:]) >= protoV2 {
-			// The stream manages deadlines from here; a failed clear
-			// surfaces as a spurious timeout the retry path absorbs.
-			_ = conn.SetDeadline(time.Time{})
-			if c.opts.Transport != TransportTCP {
-				ext := parseHelloExt(body)
-				if ext.shm && shmSupported {
-					st, serr := c.dialShm(ext)
-					if serr == nil {
-						// The shm rings replace the TCP data path entirely.
-						_ = conn.Close() // superseded by the shm stream
-						c.shmConnects.Add(1)
-						return st, nil
-					}
-					c.shmFallbacks.Add(1)
-					if c.opts.Transport == TransportShm {
-						_ = conn.Close() // shm was required; the shm error wins
-						return nil, fmt.Errorf("memnode: shm transport required: %w", serr)
-					}
-				} else if c.opts.Transport == TransportShm {
-					_ = conn.Close() // shm was required; report why it cannot happen
-					if !shmSupported {
-						return nil, errShmUnsupported
-					}
-					return nil, errors.New("memnode: shm transport required: server does not offer it")
-				}
-			}
-			return newStream(c, conn, false), nil
-		}
+	if rhdr[0] != statusOK {
+		_ = conn.Close() // the server closes a refused connection too
+		return nil, fmt.Errorf("memnode: server refused hello: %s", body)
+	}
+	if len(body) < helloRespLen ||
+		binary.LittleEndian.Uint64(body) != helloMagic ||
+		binary.LittleEndian.Uint64(body[8:]) < protoV2 {
 		_ = conn.Close() // already failing; the protocol error wins
 		return nil, errors.New("memnode: malformed hello response")
 	}
-	// The server rejected the probe as a bad opcode: it speaks v1 only,
-	// and its connection is still healthy. A failed deadline clear
-	// surfaces as a spurious timeout the retry path absorbs.
-	if c.opts.Transport == TransportShm {
-		_ = conn.Close() // shm was required; a v1 server cannot provide it
-		return nil, errors.New("memnode: shm transport required: server speaks v1 only")
-	}
+	// The stream manages deadlines from here; a failed clear surfaces as
+	// a spurious timeout the retry path absorbs.
 	_ = conn.SetDeadline(time.Time{})
-	c.v1Fallbacks.Add(1)
-	return newStream(c, conn, true), nil
+	if c.opts.Transport != TransportTCP {
+		ext := parseHelloExt(body)
+		if ext.shm && shmSupported {
+			st, serr := c.dialShm(ext)
+			if serr == nil {
+				// The shm rings replace the TCP data path entirely.
+				_ = conn.Close() // superseded by the shm stream
+				c.shmConnects.Add(1)
+				return st, nil
+			}
+			c.shmFallbacks.Add(1)
+			if c.opts.Transport == TransportShm {
+				_ = conn.Close() // shm was required; the shm error wins
+				return nil, fmt.Errorf("memnode: shm transport required: %w", serr)
+			}
+		} else if c.opts.Transport == TransportShm {
+			_ = conn.Close() // shm was required; report why it cannot happen
+			if !shmSupported {
+				return nil, errShmUnsupported
+			}
+			return nil, errors.New("memnode: shm transport required: server does not offer it")
+		}
+	}
+	return newStream(c, conn), nil
 }
 
 // translate maps a caller's stable handle to the server's current
@@ -1068,7 +953,7 @@ func (c *Client) do(ca *call) ([]byte, error) {
 			att = &cp
 		}
 		att.srvID = c.translate(ca.handle)
-		body, err := c.execute(st, att)
+		body, err := st.exec(att)
 		if err == nil {
 			return body, nil
 		}
@@ -1092,60 +977,6 @@ func (c *Client) do(ca *call) ([]byte, error) {
 		lastErr = err
 	}
 	return nil, fmt.Errorf("memnode: op %d failed after %d attempts: %w", ca.op, c.opts.MaxAttempts, lastErr)
-}
-
-// execute dispatches one attempt, decomposing batch verbs into v1
-// single-page ops when the negotiated stream predates them.
-func (c *Client) execute(st link, ca *call) ([]byte, error) {
-	if st.decomposeBatch() && (ca.op == opReadV || ca.op == opWriteV) {
-		return c.executeBatchV1(st, ca)
-	}
-	return st.exec(ca)
-}
-
-// executeBatchV1 emulates READV/WRITEV against a v1 server: the batch
-// becomes a sequence of single-page ops on the stop-and-wait stream.
-// Any failure aborts the attempt; the outer retry loop re-runs the
-// whole (idempotent) batch.
-func (c *Client) executeBatchV1(st link, ca *call) ([]byte, error) {
-	if ca.op == opWriteV {
-		for i, v := range ca.iovs {
-			sub := &call{
-				op: opWrite, srvID: ca.srvID, offset: v.off, length: v.length,
-				bufs: net.Buffers{ca.pages[i]}, deadline: time.Now().Add(c.opts.IOTimeout), //magevet:ok per-op network deadline
-			}
-			if _, err := st.exec(sub); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	}
-	var total int64
-	for _, v := range ca.iovs {
-		total += v.length
-	}
-	buf := getBuf(int(total))
-	out := buf
-	for _, v := range ca.iovs {
-		sub := &call{
-			op: opRead, srvID: ca.srvID, offset: v.off, length: v.length,
-			deadline: time.Now().Add(c.opts.IOTimeout), //magevet:ok per-op network deadline
-		}
-		body, err := st.exec(sub)
-		if err != nil {
-			PutBuf(buf)
-			return nil, err
-		}
-		if int64(len(body)) != v.length {
-			PutBuf(body)
-			PutBuf(buf)
-			return nil, fmt.Errorf("memnode: short read response (%d of %d bytes)", len(body), v.length)
-		}
-		copy(out[:v.length], body)
-		PutBuf(body)
-		out = out[v.length:]
-	}
-	return buf, nil
 }
 
 // Register sets up a memory region of size bytes and returns a stable
@@ -1281,8 +1112,7 @@ func (c *Client) WriteAsync(handle uint64, offset int64, data []byte) *Pending {
 
 // ReadV reads len(offsets) pages of pageBytes each in one wire round
 // trip (the transport analogue of the DES evictor's grouped
-// writebacks). The returned pages alias one contiguous buffer. Against
-// a v1 server the batch transparently decomposes into single reads.
+// writebacks). The returned pages alias one contiguous buffer.
 func (c *Client) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
 	if len(offsets) == 0 || len(offsets) > MaxBatchPages {
 		return nil, fmt.Errorf("memnode: bad batch size %d", len(offsets))
@@ -1341,7 +1171,7 @@ func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	bufs = append(bufs, pages...)
 	_, err := c.doPooled(call{
 		op: opWriteV, handle: handle,
-		length: int64(len(desc)) + total, bufs: bufs, iovs: iovs, pages: pages,
+		length: int64(len(desc)) + total, bufs: bufs,
 	})
 	if err == nil {
 		c.countVerb(opWriteV, total)

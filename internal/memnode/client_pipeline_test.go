@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ import (
 	"mage/internal/stats"
 )
 
-// stallListener accepts connections, completes the v2 negotiation, then
+// stallListener accepts connections, completes the HELLO, then
 // swallows every request without ever responding — the pathological
 // server the Close-mid-flight regression needs. The returned channel
 // closes when the first post-negotiation request byte arrives, so the
@@ -38,16 +39,7 @@ func stallListener(t *testing.T) (string, <-chan struct{}) {
 			}
 			go func() {
 				defer conn.Close()
-				hdr := make([]byte, v1ReqHdrLen)
-				if _, err := io.ReadFull(conn, hdr); err != nil {
-					return
-				}
-				var resp [v1RespHdrLen + helloRespLen]byte
-				resp[0] = statusOK
-				binary.LittleEndian.PutUint64(resp[1:], helloRespLen)
-				binary.LittleEndian.PutUint64(resp[v1RespHdrLen:], helloMagic)
-				binary.LittleEndian.PutUint64(resp[v1RespHdrLen+8:], protoV2)
-				if _, err := conn.Write(resp[:]); err != nil {
+				if err := acceptHello(conn); err != nil {
 					return
 				}
 				var b [1]byte
@@ -210,44 +202,12 @@ func TestServerChaosDeepPipeline(t *testing.T) {
 	}
 }
 
-// TestProtocolNegotiation proves both interop directions: a v1-pinned
-// client against a v2 server, and a v2 client against a v1-only server
-// (which must transparently fall back).
+// TestProtocolNegotiation pins the HELLO in both directions: a client
+// and server that both speak it negotiate the pipelined protocol; a
+// server refuses every other opener with statusErr and closes the
+// connection; and a client whose HELLO is refused fails its ops rather
+// than falling back to another protocol.
 func TestProtocolNegotiation(t *testing.T) {
-	t.Run("v1ClientV2Server", func(t *testing.T) {
-		srv, err := NewServer("127.0.0.1:0", 16<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		opts := DefaultOptions()
-		opts.Protocol = protoV1
-		c, err := DialOptions(srv.Addr(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		roundtrip(t, c)
-		if f := c.Metrics().V1Fallbacks; f != 0 {
-			t.Errorf("pinned-v1 client counted %d fallbacks", f)
-		}
-	})
-	t.Run("v2ClientV1Server", func(t *testing.T) {
-		srv, err := NewServerOptions("127.0.0.1:0", 16<<20, ServerOptions{MaxProtocol: protoV1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c, err := Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		roundtrip(t, c)
-		if f := c.Metrics().V1Fallbacks; f == 0 {
-			t.Error("v2 client against v1 server recorded no fallback")
-		}
-	})
 	t.Run("v2Both", func(t *testing.T) {
 		srv, err := NewServer("127.0.0.1:0", 16<<20)
 		if err != nil {
@@ -260,8 +220,90 @@ func TestProtocolNegotiation(t *testing.T) {
 		}
 		defer c.Close()
 		roundtrip(t, c)
-		if f := c.Metrics().V1Fallbacks; f != 0 {
-			t.Errorf("v2<->v2 counted %d fallbacks", f)
+		if got := c.TransportKind(); got != "tcp-v2" {
+			t.Errorf("TransportKind = %q, want tcp-v2", got)
+		}
+	})
+	// Openers the server must refuse. The first is what a client of the
+	// retired stop-and-wait protocol sent: a REGISTER with no HELLO.
+	refused := map[string][]byte{
+		"v1ClientV2Server": frame(opRegister, 0, 0, 1<<20, nil),
+		"badMagic":         frame(opHello, 0xDEAD_BEEF, protoV2, 0, nil),
+		"staleVersion":     frame(opHello, helloMagic, 1, 0, nil),
+	}
+	for name, opener := range refused {
+		opener := opener
+		t.Run(name, func(t *testing.T) {
+			srv, err := NewServer("127.0.0.1:0", 16<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(opener); err != nil {
+				t.Fatal(err)
+			}
+			// ReadAll returns only at EOF: the refusal closes the connection.
+			resp, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("connection not closed after refusal: %v", err)
+			}
+			if !isRefusal(resp) {
+				t.Fatalf("opener %x answered %x, want one statusErr frame", opener, resp)
+			}
+		})
+	}
+	t.Run("v2ClientV1Server", func(t *testing.T) {
+		// A node that refuses the HELLO the way a stop-and-wait-only
+		// server did: statusErr, connection left open.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					hdr := make([]byte, helloReqLen)
+					if _, err := io.ReadFull(conn, hdr); err != nil {
+						return
+					}
+					msg := []byte("bad opcode 165")
+					resp := make([]byte, helloRespHdrLen, helloRespHdrLen+len(msg))
+					resp[0] = statusErr
+					binary.LittleEndian.PutUint64(resp[1:], uint64(len(msg)))
+					if _, err := conn.Write(append(resp, msg...)); err != nil {
+						return
+					}
+					io.Copy(io.Discard, conn)
+				}()
+			}
+		}()
+		opts := fastOpts()
+		opts.MaxAttempts = 2
+		c, err := DialOptions(ln.Addr().String(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, err = c.Register(1 << 20)
+		if err == nil || !strings.Contains(err.Error(), "refused hello") {
+			t.Fatalf("Register against a HELLO-refusing node: err = %v, want a refused-hello error", err)
+		}
+		if got := c.TransportKind(); got != "none" {
+			t.Errorf("TransportKind = %q after a refused HELLO, want none", got)
 		}
 	})
 }
@@ -371,45 +413,6 @@ func TestBatchAtomicRejection(t *testing.T) {
 		}
 	}
 	PutBuf(got)
-}
-
-// TestBatchAgainstV1Server: the batch APIs must transparently decompose
-// into single-page ops when negotiation lands on v1.
-func TestBatchAgainstV1Server(t *testing.T) {
-	srv, err := NewServerOptions("127.0.0.1:0", 16<<20, ServerOptions{MaxProtocol: protoV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	id, err := c.Register(4 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offsets := []int64{0, 8192, ChunkBytes - 2048}
-	pages := make([][]byte, len(offsets))
-	for i := range pages {
-		pages[i] = bytes.Repeat([]byte{byte(i + 1)}, 4096)
-	}
-	if err := c.WriteV(id, offsets, pages); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadV(id, offsets, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], pages[i]) {
-			t.Errorf("v1-decomposed batch page %d mismatch", i)
-		}
-	}
-	if c.Metrics().V1Fallbacks == 0 {
-		t.Error("expected a v1 fallback against the pinned server")
-	}
 }
 
 // TestBatchValidation covers the client-side batch shape checks.

@@ -1,22 +1,22 @@
-// Wire protocol v2: multiplexed, pipelined frames.
+// The wire protocol: multiplexed, pipelined frames.
 //
-// v1 (see the package comment in memnode.go) is strict stop-and-wait —
-// one request in flight per connection, responses implicitly matched by
-// order. v2 keeps the same verbs but stamps every frame with a request
-// ID so a single connection can multiplex many outstanding operations,
-// and adds the batched verbs READV/WRITEV that move N pages in one
-// frame — the transport analogue of the DES evictor's grouped
-// writebacks (internal/core/evict.go).
+// Every frame carries a request ID so a single connection can
+// multiplex many outstanding operations, and the batched verbs
+// READV/WRITEV move N pages in one frame — the transport analogue of
+// the DES evictor's grouped writebacks (internal/core/evict.go).
 //
-// Version negotiation piggybacks on v1: a v2 client opens with a HELLO
-// request shaped exactly like a v1 request header. A v2 server answers
-// with a v1-framed OK response carrying a magic + version payload and
-// switches the connection to v2 framing; a v1 server answers
-// "bad opcode" (statusErr) and the client silently falls back to v1
-// stop-and-wait. Both directions therefore interoperate across
-// versions with no out-of-band configuration.
+// A connection opens with a HELLO, the only frame with its own layout,
+// little-endian:
 //
-// v2 framing, little-endian like v1:
+//	request:  op(1)=0xA5 magic(8) version(8) zero(8)
+//	response: status(1) length(8) payload(length)
+//
+// A server that accepts the version answers statusOK with a payload of
+// magic(8) version(8), optionally followed by the shm transport
+// extension (shm_server.go), and both sides switch to the frames
+// below. Any other opener gets statusErr and the connection closes.
+//
+// Frames after the HELLO:
 //
 //	request:  op(1) id(8) regionID(8) offset(8) length(8) payload(...)
 //	response: status(1) id(8) length(8) payload(length)
@@ -44,34 +44,31 @@ import (
 	"sync" //magevet:ok memnode is a real TCP service; the frame buffer pool is shared by client and server goroutines
 )
 
-// Protocol versions.
-const (
-	protoV1 = 1
-	protoV2 = 2
-)
+// protoV2 is the protocol version a HELLO proposes and accepts.
+const protoV2 = 2
 
-// v2 opcodes (v1 opcodes live in memnode.go).
+// Batch and negotiation opcodes (the single-page verbs live in
+// memnode.go).
 const (
 	opReadV  = 5
 	opWriteV = 6
-	// opHello is the negotiation probe. It is deliberately far from the
-	// v1 opcode range so a v1 server rejects it as a bad opcode (keeping
-	// its connection healthy) instead of misinterpreting it.
+	// opHello opens every connection. It lies far from the verb range so
+	// a stray frame can never be mistaken for it.
 	opHello = 0xA5
 )
 
 // helloMagic fills the regionID field of a HELLO request and leads the
-// HELLO response payload, so stray v1 traffic can never be mistaken for
-// a negotiation.
+// HELLO response payload, so stray traffic can never be mistaken for a
+// negotiation.
 const helloMagic uint64 = 0x3250_5745_4741_4d21 // "!MAGEWP2" (LE)
 
 // Frame-size constants.
 const (
-	v1ReqHdrLen  = 25 // op(1) regionID(8) offset(8) length(8)
-	v1RespHdrLen = 9  // status(1) length(8)
-	v2ReqHdrLen  = 33 // op(1) id(8) regionID(8) offset(8) length(8)
-	v2RespHdrLen = 17 // status(1) id(8) length(8)
-	helloRespLen = 16 // magic(8) version(8)
+	helloReqLen     = 25 // op(1) magic(8) version(8) zero(8)
+	helloRespHdrLen = 9  // status(1) length(8)
+	helloRespLen    = 16 // magic(8) version(8)
+	v2ReqHdrLen     = 33 // op(1) id(8) regionID(8) offset(8) length(8)
+	v2RespHdrLen    = 17 // status(1) id(8) length(8)
 )
 
 // MaxBatchPages bounds the descriptor count of one READV/WRITEV frame.

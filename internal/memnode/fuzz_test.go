@@ -40,9 +40,39 @@ func frame(op byte, regionID uint64, offset, length int64, payload []byte) []byt
 	return buf
 }
 
-// helloFrame is the negotiation probe that upgrades a connection to v2.
+// helloFrame is the opener every connection must start with.
 func helloFrame() []byte {
 	return frame(opHello, helloMagic, protoV2, 0, nil)
+}
+
+// acceptHello plays the server side of the HELLO on conn: it reads the
+// opener and answers with the bare magic+version payload.
+func acceptHello(conn net.Conn) error {
+	hdr := make([]byte, helloReqLen)
+	if _, err := io.ReadFull(conn, hdr); err != nil {
+		return err
+	}
+	resp := make([]byte, helloRespHdrLen+helloRespLen)
+	resp[0] = statusOK
+	binary.LittleEndian.PutUint64(resp[1:], helloRespLen)
+	binary.LittleEndian.PutUint64(resp[helloRespHdrLen:], helloMagic)
+	binary.LittleEndian.PutUint64(resp[helloRespHdrLen+8:], protoV2)
+	_, err := conn.Write(resp)
+	return err
+}
+
+// validHello reports whether data opens with a HELLO the server accepts.
+func validHello(data []byte) bool {
+	return len(data) >= helloReqLen && data[0] == opHello &&
+		binary.LittleEndian.Uint64(data[1:]) == helloMagic &&
+		int64(binary.LittleEndian.Uint64(data[9:])) >= protoV2
+}
+
+// isRefusal reports whether resp is exactly one statusErr HELLO
+// response frame: what a refused opener must get before the close.
+func isRefusal(resp []byte) bool {
+	return len(resp) >= helloRespHdrLen && resp[0] == statusErr &&
+		binary.LittleEndian.Uint64(resp[1:]) == uint64(len(resp)-helloRespHdrLen)
 }
 
 // v2frame builds one v2 request frame.
@@ -82,30 +112,32 @@ func descs(pairs ...int64) []byte {
 // FuzzServeRequest feeds arbitrary byte streams straight into the
 // request decoder. The server must never panic, never allocate
 // unboundedly (bad lengths are rejected before allocation), and must
-// always terminate the handler when the stream ends.
+// always terminate the handler when the stream ends. A stream that
+// does not open with a valid HELLO must get exactly one statusErr
+// frame before the server closes the connection.
 func FuzzServeRequest(f *testing.F) {
 	// Seed corpus: one valid frame of each op, then hostile variants.
-	f.Add(frame(opRegister, 0, 0, 1<<20, nil))
-	f.Add(frame(opRead, 1, 4096, 4096, nil))
-	f.Add(frame(opWrite, 1, 0, 8, []byte("pagedata")))
-	f.Add(frame(opStat, 0, 0, 0, nil))
-	f.Add(frame(opRead, 1, -4096, 4096, nil))                                     // negative offset
-	f.Add(frame(opRead, 1, 0, MaxIO+1, nil))                                      // oversized read
-	f.Add(frame(opWrite, 1, 0, 1<<40, nil))                                       // absurd write length
-	f.Add(frame(opRegister, 0, 0, 1<<62, nil))                                    // absurd register size
-	f.Add(frame(opRead, 999, 0, 4096, nil))                                       // unknown region
-	f.Add(frame(0xEE, 0, 0, 0, nil))                                              // bad opcode
-	f.Add([]byte{opWrite})                                                        // truncated header
-	f.Add(append(frame(opWrite, 1, 0, 64, nil), "short"...))                      // truncated payload
-	f.Add(append(frame(opStat, 0, 0, 0, nil), frame(opRead, 1, 0, 4096, nil)...)) // pipelined
+	f.Add(v2stream(v2frame(opRegister, 1, 0, 0, 1<<20, nil)))
+	f.Add(v2stream(v2frame(opRead, 1, 1, 4096, 4096, nil)))
+	f.Add(v2stream(v2frame(opWrite, 1, 1, 0, 8, []byte("pagedata"))))
+	f.Add(v2stream(v2frame(opStat, 1, 0, 0, 0, nil)))
+	f.Add(v2stream(v2frame(opRead, 1, 1, -4096, 4096, nil)))                               // negative offset
+	f.Add(v2stream(v2frame(opRead, 1, 1, 0, MaxIO+1, nil)))                                // oversized read
+	f.Add(v2stream(v2frame(opWrite, 1, 1, 0, 1<<40, nil)))                                 // absurd write length
+	f.Add(v2stream(v2frame(opRegister, 1, 0, 0, 1<<62, nil)))                              // absurd register size
+	f.Add(v2stream(v2frame(opRead, 1, 999, 0, 4096, nil)))                                 // unknown region
+	f.Add(v2stream(v2frame(0xEE, 1, 0, 0, 0, nil)))                                        // bad opcode
+	f.Add(v2stream([]byte{opWrite}))                                                       // truncated header
+	f.Add(v2stream(append(v2frame(opWrite, 1, 1, 0, 64, nil), "short"...)))                // truncated payload
+	f.Add(v2stream(v2frame(opStat, 1, 0, 0, 0, nil), v2frame(opRead, 2, 1, 0, 4096, nil))) // pipelined
 
-	// v2 seeds: negotiation plus pipelined/batched/hostile v2 frames.
-	// Concurrent seeds deliberately avoid overlapping WRITE ranges — the
-	// worker pool executes them in parallel and overlapping writes race
-	// by design (as one-sided RDMA would).
+	// Negotiation plus pipelined/batched/hostile frames. Concurrent
+	// seeds deliberately avoid overlapping WRITE ranges — the worker
+	// pool executes them in parallel and overlapping writes race by
+	// design (as one-sided RDMA would).
 	f.Add(helloFrame())                                  // bare negotiation
-	f.Add(frame(opHello, helloMagic, protoV1, 0, nil))   // stale version: stays v1
-	f.Add(frame(opHello, 0xDEAD_BEEF, protoV2, 0, nil))  // bad magic: stays v1
+	f.Add(frame(opHello, helloMagic, 1, 0, nil))         // stale version: refused
+	f.Add(frame(opHello, 0xDEAD_BEEF, protoV2, 0, nil))  // bad magic: refused
 	f.Add(v2stream(v2frame(opRead, 1, 1, 0, 4096, nil))) // valid v2 read
 	f.Add(v2stream(v2frame(opStat, 2, 0, 0, 0, nil)))    // valid v2 stat
 	f.Add(v2stream(v2frame(opRegister, 3, 0, 0, 1<<20, nil)))
@@ -133,11 +165,16 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add(v2stream(v2frame(opHello, 20, helloMagic, protoV2, 0, nil)))    // HELLO inside v2: bad opcode
 	// off+length overflow seeds: an offset near MaxInt64 wraps the naive
 	// bounds sum negative, so these must be rejected, not executed.
-	f.Add(frame(opRead, 1, math.MaxInt64-100, 4096, nil))
+	f.Add(frame(opRead, 1, math.MaxInt64-100, 4096, nil)) // non-HELLO opener: refused
 	f.Add(v2stream(v2frame(opRead, 21, 1, math.MaxInt64-100, 4096, nil)))
 	f.Add(v2stream(v2frame(opReadV, 22, 1, 0, 24, descs(math.MaxInt64-100, 4096))))
 	dov := descs(math.MaxInt64-100, 4096)
 	f.Add(v2stream(v2frame(opWriteV, 23, 1, 0, int64(len(dov))+4096, append(dov, make([]byte, 4096)...))))
+	// Openers that are not a HELLO: a page verb in the old unnumbered
+	// framing, a HELLO with a negative version, and a pipelined burst.
+	f.Add(frame(opRead, 1, 4096, 4096, nil))
+	f.Add(frame(opHello, helloMagic, -protoV2, 0, nil))
+	f.Add(append(frame(opStat, 0, 0, 0, nil), frame(opRead, 1, 0, 4096, nil)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzServer()
@@ -149,10 +186,24 @@ func FuzzServeRequest(f *testing.F) {
 			srvConn.Close()
 		}()
 		// Drain responses so serve never blocks on a full pipe.
-		go io.Copy(io.Discard, cliConn)
+		out := make(chan []byte, 1)
+		go func() {
+			b, _ := io.ReadAll(cliConn)
+			out <- b
+		}()
+		// A refused opener must close the connection by itself, so the
+		// client end stays open until serve returns: the refusal frame
+		// is then read in full.
+		refused := len(data) >= helloReqLen && !validHello(data)
 		cliConn.Write(data)
-		cliConn.Close()
+		if !refused {
+			cliConn.Close()
+		}
 		<-done
+		cliConn.Close()
+		if resp := <-out; refused && !isRefusal(resp) {
+			t.Fatalf("opener %x not refused: got %x", data[:helloReqLen], resp)
+		}
 	})
 }
 
@@ -209,16 +260,7 @@ func FuzzClientDemux(f *testing.F) {
 				}
 				go func() {
 					defer conn.Close()
-					hdr := make([]byte, v1ReqHdrLen)
-					if _, err := io.ReadFull(conn, hdr); err != nil {
-						return
-					}
-					resp := make([]byte, v1RespHdrLen+helloRespLen)
-					resp[0] = statusOK
-					binary.LittleEndian.PutUint64(resp[1:], helloRespLen)
-					binary.LittleEndian.PutUint64(resp[v1RespHdrLen:], helloMagic)
-					binary.LittleEndian.PutUint64(resp[v1RespHdrLen+8:], protoV2)
-					if _, err := conn.Write(resp); err != nil {
+					if err := acceptHello(conn); err != nil {
 						return
 					}
 					// Replay the fuzz bytes as the response stream, then

@@ -11,19 +11,15 @@
 // HugeTLB backing the paper uses to keep page-table walks cheap on the
 // memory node.
 //
-// Two wire protocols are spoken, negotiated per connection (frame.go):
-//
-// v1, length-prefixed binary, little-endian, strict stop-and-wait:
-//
-//	request:  op(1) regionID(8) offset(8) length(8) payload(length, WRITE only)
-//	response: status(1) length(8) payload(length)
-//
-// v2 adds a request ID to every frame so one connection multiplexes many
-// outstanding operations; see frame.go for the layout and the batch-verb
-// payload format. Server-side, a v2 connection demuxes requests into a
-// bounded per-connection worker pool and serializes responses through a
-// single writev-based writer, so deep client pipelines actually overlap
-// region copies with wire IO.
+// Every connection opens with a HELLO (frame.go) and then speaks one
+// pipelined wire protocol: each frame carries a request ID, so one
+// connection multiplexes many outstanding operations. A connection that
+// opens with anything else is refused. Server-side, a connection demuxes
+// requests into a bounded per-connection worker pool and serializes
+// responses through a single writev-based writer, so deep client
+// pipelines actually overlap region copies with wire IO. Same-host
+// clients may instead move page data through shared-memory rings
+// advertised in the HELLO response (shm_*.go).
 package memnode
 
 import (
@@ -39,7 +35,7 @@ import (
 	"time"
 )
 
-// Opcodes shared by v1 and v2 (batch opcodes live in frame.go).
+// Opcodes (batch and HELLO opcodes live in frame.go).
 const (
 	opRegister = 1
 	opRead     = 2
@@ -78,14 +74,9 @@ const ChunkBytes = 2 << 20
 // one READV/WRITEV batch.
 const MaxIO = 8 << 20
 
-// ServerOptions tunes protocol support and per-connection concurrency.
+// ServerOptions tunes transports and per-connection concurrency.
 type ServerOptions struct {
-	// MaxProtocol caps the negotiated wire protocol: protoV2 (the
-	// default) accepts both v1 and v2 clients; protoV1 refuses the v2
-	// HELLO, turning the server into a legacy node (used by the
-	// negotiation tests and the -proto flag of cmd/memnode).
-	MaxProtocol int
-	// Workers is the per-connection worker pool size for v2
+	// Workers is the per-connection worker pool size for TCP
 	// connections: how many requests from one pipelined client may be
 	// executed concurrently. Default 8.
 	Workers int
@@ -107,9 +98,6 @@ type ServerOptions struct {
 }
 
 func (o *ServerOptions) fillDefaults() {
-	if o.MaxProtocol <= 0 || o.MaxProtocol > protoV2 {
-		o.MaxProtocol = protoV2
-	}
 	if o.Workers <= 0 {
 		o.Workers = 8
 	}
@@ -146,8 +134,7 @@ type Server struct {
 	BytesWrite atomic.Uint64
 
 	// inflight counts requests currently executing across every
-	// transport and protocol version; served by the STATS probe as the
-	// server's load signal.
+	// transport; served by the STATS probe as the server's load signal.
 	inflight atomic.Int64
 
 	wg     sync.WaitGroup
@@ -160,7 +147,7 @@ func NewServer(addr string, capacity int64) (*Server, error) {
 	return NewServerOptions(addr, capacity, ServerOptions{})
 }
 
-// NewServerOptions listens on addr with explicit protocol/concurrency
+// NewServerOptions listens on addr with explicit transport/concurrency
 // options.
 func NewServerOptions(addr string, capacity int64, opts ServerOptions) (*Server, error) {
 	if capacity <= 0 {
@@ -259,96 +246,36 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serve runs the v1 stop-and-wait loop. A HELLO request upgrades the
-// connection to v2 framing (serveV2) when the server allows it; any
-// other traffic is served as v1 forever, so legacy clients never notice
-// the server understands more.
+// serve reads the connection's opener. A valid HELLO upgrades it to the
+// pipelined protocol (serveV2); anything else is answered with statusErr
+// and the connection closes.
 func (s *Server) serve(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
-	hdr := make([]byte, v1ReqHdrLen)
-	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return
-		}
-		op := hdr[0]
-		regionID := binary.LittleEndian.Uint64(hdr[1:9])
-		offset := int64(binary.LittleEndian.Uint64(hdr[9:17]))
-		length := int64(binary.LittleEndian.Uint64(hdr[17:25]))
-
-		var err error
-		if op != opHello {
-			// Count every data exchange toward the STATS load signal; the
-			// HELLO negotiation is excluded (its v2 branch returns without
-			// falling through to the decrement below).
-			s.inflight.Add(1)
-		}
-		switch op {
-		case opHello:
-			// regionID carries the magic, offset the client's max version.
-			if s.opts.MaxProtocol >= protoV2 && regionID == helloMagic && offset >= protoV2 {
-				if err := respond(conn, s.helloBody()); err != nil {
-					return
-				}
-				s.serveV2(conn, br)
-				return
-			}
-			// A v1-only server (or a garbled probe) rejects the HELLO the
-			// same way it rejects any unknown opcode; the connection stays
-			// healthy and the client falls back to v1.
-			err = respondErr(conn, fmt.Sprintf("bad opcode %d", op))
-		case opRegister:
-			err = s.handleRegister(conn, length)
-		case opRead:
-			err = s.handleRead(conn, regionID, offset, length)
-		case opWrite:
-			err = s.handleWrite(conn, br, regionID, offset, length)
-		case opStat:
-			err = s.handleStat(conn)
-		case opProbe:
-			err = respond(conn, s.doProbe())
-		case opUnregister:
-			err = s.handleUnregister(conn, regionID)
-		default:
-			err = respondErr(conn, fmt.Sprintf("bad opcode %d", op))
-		}
-		if op != opHello {
-			s.inflight.Add(-1)
-		}
-		if err != nil {
-			return
-		}
+	var hdr [helloReqLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return
 	}
+	// regionID carries the magic, offset the client's protocol version.
+	if hdr[0] != opHello || binary.LittleEndian.Uint64(hdr[1:9]) != helloMagic ||
+		int64(binary.LittleEndian.Uint64(hdr[9:17])) < protoV2 {
+		_ = respondHello(conn, statusErr, []byte("expected HELLO")) // closing anyway
+		return
+	}
+	if err := respondHello(conn, statusOK, s.helloBody()); err != nil {
+		return
+	}
+	s.serveV2(conn, br)
 }
 
-// writeFrames writes a header and optional payload as one writev, so a
-// response never costs two syscalls (or two TCP segments under
-// TCP_NODELAY) the way the old header-then-payload pair of Writes did.
-func writeFrames(conn net.Conn, hdr, payload []byte) error {
-	if len(payload) == 0 {
-		_, err := conn.Write(hdr)
-		return err
-	}
-	bufs := net.Buffers{hdr, payload}
+// respondHello writes the HELLO response frame: status(1) length(8)
+// payload, header and payload in one writev.
+func respondHello(conn net.Conn, status byte, payload []byte) error {
+	var hdr [helloRespHdrLen]byte
+	hdr[0] = status
+	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(payload)))
+	bufs := net.Buffers{hdr[:], payload}
 	_, err := bufs.WriteTo(conn)
 	return err
-}
-
-func respond(conn net.Conn, payload []byte) error {
-	var hdr [v1RespHdrLen]byte
-	hdr[0] = statusOK
-	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(payload)))
-	return writeFrames(conn, hdr[:], payload)
-}
-
-func respondErr(conn net.Conn, msg string) error {
-	return respondErrCode(conn, statusErr, msg)
-}
-
-func respondErrCode(conn net.Conn, code byte, msg string) error {
-	var hdr [v1RespHdrLen]byte
-	hdr[0] = code
-	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(msg)))
-	return writeFrames(conn, hdr[:], []byte(msg))
 }
 
 // errUnknownRegion marks lookups of region IDs the server has never
@@ -366,7 +293,7 @@ func heapRegionChunks(nChunks int) [][]byte {
 }
 
 // doRegister allocates a region and returns its ID payload, or a status
-// code and message. Shared by the v1 and v2 paths.
+// code and message. Shared by the TCP and shm paths.
 func (s *Server) doRegister(size int64) ([]byte, byte, string) {
 	// Bounds-check before any allocation: size is attacker-controlled
 	// wire input.
@@ -397,21 +324,13 @@ func (s *Server) doRegister(size int64) ([]byte, byte, string) {
 	return resp, statusOK, ""
 }
 
-func (s *Server) handleRegister(conn net.Conn, size int64) error {
-	body, code, msg := s.doRegister(size)
-	if code != statusOK {
-		return respondErrCode(conn, code, msg)
-	}
-	return respond(conn, body)
-}
-
 // doUnregister forgets a region: the ID stops resolving and its bytes
 // return to the capacity pool. The backing chunks are deliberately NOT
 // released here — zero-copy v2 READ responses may still hold writev
 // segments aliasing them — so mmap-backed chunks stay mapped until
 // Close (regionFrees) and heap chunks are garbage-collected once the
-// last in-flight response drops its reference. Shared by the v1, v2,
-// and shm dispatch paths.
+// last in-flight response drops its reference. Shared by the TCP and
+// shm dispatch paths.
 func (s *Server) doUnregister(regionID uint64) (byte, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -422,14 +341,6 @@ func (s *Server) doUnregister(regionID uint64) (byte, string) {
 	s.used -= s.sizes[regionID]
 	delete(s.sizes, regionID)
 	return statusOK, ""
-}
-
-func (s *Server) handleUnregister(conn net.Conn, regionID uint64) error {
-	code, msg := s.doUnregister(regionID)
-	if code != statusOK {
-		return respondErrCode(conn, code, msg)
-	}
-	return respond(conn, nil)
 }
 
 // regionAt validates and returns the chunk list for an IO.
@@ -497,31 +408,6 @@ func chunkedCopy(chunks [][]byte, offset int64, buf []byte, toRegion bool) {
 	}
 }
 
-// doRead copies length bytes out of a region into a pooled buffer. The
-// caller owns the buffer and must PutBuf it after the response is on
-// the wire.
-func (s *Server) doRead(regionID uint64, offset, length int64) ([]byte, byte, string) {
-	chunks, err := s.regionAt(regionID, offset, length)
-	if err != nil {
-		return nil, errStatus(err), err.Error()
-	}
-	buf := getBuf(int(length))
-	chunkedCopy(chunks, offset, buf, false)
-	s.ReadOps.Add(1)
-	s.BytesRead.Add(uint64(length))
-	return buf, statusOK, ""
-}
-
-func (s *Server) handleRead(conn net.Conn, regionID uint64, offset, length int64) error {
-	body, code, msg := s.doRead(regionID, offset, length)
-	if code != statusOK {
-		return respondErrCode(conn, code, msg)
-	}
-	err := respond(conn, body)
-	PutBuf(body)
-	return err
-}
-
 // doWrite applies one write whose payload has already been read off the
 // wire.
 func (s *Server) doWrite(regionID uint64, offset int64, data []byte) (byte, string) {
@@ -533,23 +419,6 @@ func (s *Server) doWrite(regionID uint64, offset int64, data []byte) (byte, stri
 	s.WriteOps.Add(1)
 	s.BytesWrite.Add(uint64(len(data)))
 	return statusOK, ""
-}
-
-func (s *Server) handleWrite(conn net.Conn, br *bufio.Reader, regionID uint64, offset, length int64) error {
-	if length <= 0 || length > MaxIO {
-		return respondErr(conn, fmt.Sprintf("bad length %d", length))
-	}
-	buf := getBuf(int(length))
-	if _, err := io.ReadFull(br, buf); err != nil {
-		PutBuf(buf)
-		return err
-	}
-	code, msg := s.doWrite(regionID, offset, buf)
-	PutBuf(buf)
-	if code != statusOK {
-		return respondErrCode(conn, code, msg)
-	}
-	return respond(conn, nil)
 }
 
 // doWriteV applies a batched write: payload is the descriptor table
@@ -608,10 +477,6 @@ func (s *Server) doStat() []byte {
 	return buf
 }
 
-func (s *Server) handleStat(conn net.Conn) error {
-	return respond(conn, s.doStat())
-}
-
 // HealthStats is the STATS probe response: the load/health sample
 // memcluster's replica selection and failure detection run on. One
 // mutex acquisition and two atomic loads per probe — cheap enough for
@@ -626,7 +491,7 @@ type HealthStats struct {
 	CapacityBytes int64
 }
 
-// doProbe builds the STATS response. Shared by the v1, v2, and shm
+// doProbe builds the STATS response. Shared by the TCP and shm
 // dispatch paths.
 func (s *Server) doProbe() []byte {
 	s.mu.Lock()

@@ -242,8 +242,6 @@ func (st *shmStream) alive() bool {
 	return st.err == nil
 }
 
-func (st *shmStream) decomposeBatch() bool { return false }
-
 // exclusiveCall: true — submission is inline and completion removes
 // the call from the pending table before exec returns, so no other
 // goroutine holds a reference afterwards and do() may reuse the
